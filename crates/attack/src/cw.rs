@@ -92,15 +92,13 @@ impl Attack for CarliniWagner {
         let (mut m, mut v) = (Tensor::zeros(&dims), Tensor::zeros(&dims));
         let (b1, b2, eps_adam) = (0.9f32, 0.999f32, 1e-8f32);
 
-        for t in 1..=self.iters {
-            let tanh_w = w.tanh();
-            let adv = center.add(&radius.mul(&tanh_w));
-            let z = model.logits(&adv);
-
+        // The ±1 weight rows selecting d f / d adv, built from the logits
+        // of the same linearization that returns the margin gradient.
+        let margin_weights = |z: &Tensor| {
             // Margin term: f = z_true − max_{k≠true} z_k (per sample).
-            // Samples are independent and RNG-free, so the runner-up sweep
-            // fans out across the pool; results come back in index order,
-            // identical to the serial loop.
+            // Samples are independent and RNG-free, so the runner-up
+            // sweep fans out across the pool; results come back in
+            // index order, identical to the serial loop.
             let margins = pool::parallel_tasks(n, |i| {
                 let truth = labels[i];
                 let mut runner_up = usize::MAX;
@@ -113,7 +111,6 @@ impl Attack for CarliniWagner {
                 }
                 (z.at(&[i, truth]) - best_z, runner_up)
             });
-            // The ±1 weight rows selecting d f / d adv.
             let mut weights = Tensor::zeros(&[n, classes]);
             for (i, &(margin, runner_up)) in margins.iter().enumerate() {
                 if margin > -self.kappa {
@@ -123,7 +120,14 @@ impl Attack for CarliniWagner {
                     weights.set(&[i, runner_up], -1.0);
                 }
             }
-            let margin_grad = model.weighted_logit_input_grad(&adv, &weights);
+            vec![weights]
+        };
+
+        for t in 1..=self.iters {
+            let tanh_w = w.tanh();
+            let adv = center.add(&radius.mul(&tanh_w));
+            let (z, mut grads) = model.linearize(&adv, &margin_weights);
+            let margin_grad = grads.swap_remove(0);
 
             // Distance term: d ‖adv − x‖² / d adv = 2(adv − x).
             let delta = adv.sub(x);

@@ -53,6 +53,20 @@ impl Attack for DeepFool {
         let row_elems = x.numel() / n;
         let mut adv = x.clone();
 
+        // One one-hot weight matrix per class over the rows of `z`.
+        let one_hot_columns = |z: &Tensor| {
+            let rows = z.dim(0);
+            (0..classes)
+                .map(|k| {
+                    let mut w = Tensor::zeros(&[rows, classes]);
+                    for r in 0..rows {
+                        w.set(&[r, k], 1.0);
+                    }
+                    w
+                })
+                .collect()
+        };
+
         for _ in 0..self.max_iters {
             let preds = model.predict(&adv);
             // lint:allow(alloc) — the active set shrinks every iteration;
@@ -65,19 +79,11 @@ impl Attack for DeepFool {
             // only: late iterations (where most samples are already
             // fooled) cost O(active), not O(n).
             let sub = adv.select_rows(&active);
-            let z = model.logits(&sub);
 
-            // Gradient of every class logit w.r.t. the input, batched: one
-            // backward pass per class with a one-hot weight matrix over
-            // the active sub-batch.
-            let mut class_grads: Vec<Tensor> = Vec::with_capacity(classes);
-            for k in 0..classes {
-                let mut w = Tensor::zeros(&[active.len(), classes]);
-                for r in 0..active.len() {
-                    w.set(&[r, k], 1.0);
-                }
-                class_grads.push(model.weighted_logit_input_grad(&sub, &w));
-            }
+            // The logits and the gradient of every class logit w.r.t. the
+            // input from one linearization: one forward pass, then one
+            // backward pass per class.
+            let (z, class_grads) = model.linearize(&sub, &one_hot_columns);
 
             // Per active sample: nearest linearized boundary. Samples are
             // independent and the whole attack is RNG-free, so the inner

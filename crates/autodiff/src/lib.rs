@@ -14,9 +14,20 @@
 //!   topological order, so [`Tape::backward`] is a single reverse sweep.
 //! * Each op stores a boxed closure that maps the upstream gradient to the
 //!   gradients of its parents (capturing whatever forward values it needs).
-//! * Leaves ([`Tape::leaf`]) are inputs *or* parameters — the tape does not
-//!   distinguish. Attacks read the gradient at an image leaf; optimizers
-//!   read the gradients at parameter leaves.
+//! * Values enter the tape as differentiable leaves ([`Tape::leaf`]) or as
+//!   constants ([`Tape::constant`]). A node requires a gradient when at
+//!   least one parent does; a node that requires none records no closure
+//!   and captures no forward copies, and [`Tape::backward`] never visits
+//!   it. The closure of a two-operand op knows which operands need
+//!   gradients and computes only those: `conv2d` against constant filters
+//!   skips the weight gradient and keeps no copy of its input, and
+//!   `matmul`, `add`, `sub` and `mul` skip their constant side the same way.
+//! * Training binds parameters as leaves and reads their gradients;
+//!   attacks bind them as constants and read only the gradient at the
+//!   image leaf, so an input-gradient query costs no weight gradient.
+//! * [`Tape::backward`] only reads the tape, so several scalar roots can
+//!   share one forward pass: each sweep is bit-identical to a sweep on a
+//!   tape that recorded only that root.
 //! * Tapes are cheap and short-lived: one per training step / attack
 //!   iteration.
 //!

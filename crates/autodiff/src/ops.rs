@@ -1,7 +1,9 @@
 //! Differentiable primitive operations recorded on the [`Tape`].
 //!
-//! Every method takes node ids, computes the forward value eagerly, and
-//! registers a closure mapping the upstream gradient to parent gradients.
+//! Every method takes node ids, computes the forward value eagerly, and —
+//! when at least one parent requires a gradient — registers a closure
+//! mapping the upstream gradient to the gradients of the parents that need
+//! one. The closure captures only the forward values those gradients read.
 //! Broadcasting ops push gradients back through [`Tensor::reduce_to`], the
 //! adjoint of broadcasting.
 
@@ -19,40 +21,43 @@ impl Tape {
     /// `a + b` with broadcasting.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
         let value = self.value(a).add(self.value(b));
-        let (sa, sb) = (self.value(a).shape().clone(), self.value(b).shape().clone());
-        self.push(
-            value,
-            vec![a, b],
-            Some(Box::new(move |g| vec![g.reduce_to(&sa), g.reduce_to(&sb)])),
-        )
+        self.record(value, vec![a, b], |t, _, needs| {
+            let (sa, sb) = (t.value(a).shape().clone(), t.value(b).shape().clone());
+            let (na, nb) = (needs[0], needs[1]);
+            Box::new(move |g| vec![na.then(|| g.reduce_to(&sa)), nb.then(|| g.reduce_to(&sb))])
+        })
     }
 
     /// `a - b` with broadcasting.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
         let value = self.value(a).sub(self.value(b));
-        let (sa, sb) = (self.value(a).shape().clone(), self.value(b).shape().clone());
-        self.push(
-            value,
-            vec![a, b],
-            Some(Box::new(move |g| {
-                vec![g.reduce_to(&sa), g.neg().reduce_to(&sb)]
-            })),
-        )
+        self.record(value, vec![a, b], |t, _, needs| {
+            let (sa, sb) = (t.value(a).shape().clone(), t.value(b).shape().clone());
+            let (na, nb) = (needs[0], needs[1]);
+            Box::new(move |g| {
+                vec![
+                    na.then(|| g.reduce_to(&sa)),
+                    nb.then(|| g.neg().reduce_to(&sb)),
+                ]
+            })
+        })
     }
 
     /// Elementwise `a ⊙ b` with broadcasting.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        let va = self.value(a).clone();
-        let vb = self.value(b).clone();
-        let value = va.mul(&vb);
-        let (sa, sb) = (va.shape().clone(), vb.shape().clone());
-        self.push(
-            value,
-            vec![a, b],
-            Some(Box::new(move |g| {
-                vec![g.mul(&vb).reduce_to(&sa), g.mul(&va).reduce_to(&sb)]
-            })),
-        )
+        let value = self.value(a).mul(self.value(b));
+        self.record(value, vec![a, b], |t, _, needs| {
+            let (sa, sb) = (t.value(a).shape().clone(), t.value(b).shape().clone());
+            // Each side's gradient reads the other side's value.
+            let vb = needs[0].then(|| t.value(b).clone());
+            let va = needs[1].then(|| t.value(a).clone());
+            Box::new(move |g| {
+                vec![
+                    vb.as_ref().map(|vb| g.mul(vb).reduce_to(&sa)),
+                    va.as_ref().map(|va| g.mul(va).reduce_to(&sb)),
+                ]
+            })
+        })
     }
 
     // -----------------------------------------------------------------
@@ -62,104 +67,100 @@ impl Tape {
     /// `-x`.
     pub fn neg(&mut self, x: VarId) -> VarId {
         let value = self.value(x).neg();
-        self.push(value, vec![x], Some(Box::new(|g| vec![g.neg()])))
+        self.record(value, vec![x], |_, _, _| Box::new(|g| vec![Some(g.neg())]))
     }
 
     /// `alpha · x`.
     pub fn scale(&mut self, x: VarId, alpha: f32) -> VarId {
         let value = self.value(x).scale(alpha);
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| vec![g.scale(alpha)])),
-        )
+        self.record(value, vec![x], |_, _, _| {
+            Box::new(move |g| vec![Some(g.scale(alpha))])
+        })
     }
 
     /// `x + alpha` (elementwise constant shift).
     pub fn add_scalar(&mut self, x: VarId, alpha: f32) -> VarId {
         let value = self.value(x).add_scalar(alpha);
-        self.push(value, vec![x], Some(Box::new(|g| vec![g.clone()])))
+        self.record(value, vec![x], |_, _, _| {
+            Box::new(|g| vec![Some(g.clone())])
+        })
     }
 
     /// `x²` elementwise.
     pub fn square(&mut self, x: VarId) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.square();
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| vec![g.mul(&vx).scale(2.0)])),
-        )
+        let value = self.value(x).square();
+        self.record(value, vec![x], |t, _, _| {
+            let vx = t.value(x).clone();
+            Box::new(move |g| vec![Some(g.mul(&vx).scale(2.0))])
+        })
     }
 
     /// Elementwise `min(x, cap)`. Gradient flows only where `x < cap`
     /// (ties get zero gradient). Used to bound adversarial reward terms in
     /// minimax objectives.
     pub fn clamp_max(&mut self, x: VarId, cap: f32) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.map(|v| v.min(cap));
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&vx, |gi, xi| if xi < cap { gi } else { 0.0 })]
-            })),
-        )
+        let value = self.value(x).map(|v| v.min(cap));
+        self.record(value, vec![x], |t, _, _| {
+            let vx = t.value(x).clone();
+            Box::new(move |g| {
+                vec![Some(g.broadcast_zip(
+                    &vx,
+                    |gi, xi| if xi < cap { gi } else { 0.0 },
+                ))]
+            })
+        })
     }
 
     /// `eˣ` elementwise.
     pub fn exp(&mut self, x: VarId) -> VarId {
         let value = self.value(x).exp();
-        let y = value.clone();
-        self.push(value, vec![x], Some(Box::new(move |g| vec![g.mul(&y)])))
+        self.record(value, vec![x], |_, y, _| {
+            let y = y.clone();
+            Box::new(move |g| vec![Some(g.mul(&y))])
+        })
     }
 
     /// `ln x` elementwise.
     ///
     /// The caller is responsible for keeping `x` positive.
     pub fn ln(&mut self, x: VarId) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.ln();
-        self.push(value, vec![x], Some(Box::new(move |g| vec![g.div(&vx)])))
+        let value = self.value(x).ln();
+        self.record(value, vec![x], |t, _, _| {
+            let vx = t.value(x).clone();
+            Box::new(move |g| vec![Some(g.div(&vx))])
+        })
     }
 
     /// Rectified linear unit `max(0, x)`.
     pub fn relu(&mut self, x: VarId) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.relu();
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&vx, |gi, xi| if xi > 0.0 { gi } else { 0.0 })]
-            })),
-        )
+        let value = self.value(x).relu();
+        self.record(value, vec![x], |t, _, _| {
+            let vx = t.value(x).clone();
+            Box::new(move |g| {
+                vec![Some(g.broadcast_zip(
+                    &vx,
+                    |gi, xi| if xi > 0.0 { gi } else { 0.0 },
+                ))]
+            })
+        })
     }
 
     /// Logistic sigmoid `σ(x)`.
     pub fn sigmoid(&mut self, x: VarId) -> VarId {
         let value = self.value(x).sigmoid();
-        let y = value.clone();
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&y, |gi, yi| gi * yi * (1.0 - yi))]
-            })),
-        )
+        self.record(value, vec![x], |_, y, _| {
+            let y = y.clone();
+            Box::new(move |g| vec![Some(g.broadcast_zip(&y, |gi, yi| gi * yi * (1.0 - yi)))])
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: VarId) -> VarId {
         let value = self.value(x).tanh();
-        let y = value.clone();
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&y, |gi, yi| gi * (1.0 - yi * yi))]
-            })),
-        )
+        self.record(value, vec![x], |_, y, _| {
+            let y = y.clone();
+            Box::new(move |g| vec![Some(g.broadcast_zip(&y, |gi, yi| gi * (1.0 - yi * yi)))])
+        })
     }
 
     // -----------------------------------------------------------------
@@ -168,28 +169,27 @@ impl Tape {
 
     /// Matrix product `[M, K] × [K, N] → [M, N]`.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let va = self.value(a).clone();
-        let vb = self.value(b).clone();
-        let value = linalg::matmul(&va, &vb);
-        self.push(
-            value,
-            vec![a, b],
-            Some(Box::new(move |g| {
-                // ∂A = g·Bᵀ, ∂B = Aᵀ·g
-                vec![linalg::matmul_nt(g, &vb), linalg::matmul_tn(&va, g)]
-            })),
-        )
+        let value = linalg::matmul(self.value(a), self.value(b));
+        self.record(value, vec![a, b], |t, _, needs| {
+            // ∂A = g·Bᵀ reads B, ∂B = Aᵀ·g reads A.
+            let vb = needs[0].then(|| t.value(b).clone());
+            let va = needs[1].then(|| t.value(a).clone());
+            Box::new(move |g| {
+                vec![
+                    vb.as_ref().map(|vb| linalg::matmul_nt(g, vb)),
+                    va.as_ref().map(|va| linalg::matmul_tn(va, g)),
+                ]
+            })
+        })
     }
 
     /// Reshape (element count preserved).
     pub fn reshape(&mut self, x: VarId, dims: &[usize]) -> VarId {
-        let orig: Vec<usize> = self.value(x).shape().dims().to_vec();
         let value = self.value(x).reshape(dims);
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| vec![g.reshape(&orig)])),
-        )
+        self.record(value, vec![x], |t, _, _| {
+            let orig: Vec<usize> = t.value(x).shape().dims().to_vec();
+            Box::new(move |g| vec![Some(g.reshape(&orig))])
+        })
     }
 
     /// Flattens `[N, ...]` into `[N, rest]`.
@@ -207,23 +207,21 @@ impl Tape {
     /// Panics if `parts` is empty or trailing dimensions disagree.
     pub fn concat_rows(&mut self, parts: &[VarId]) -> VarId {
         assert!(!parts.is_empty(), "concat_rows requires at least one part");
-        let tensors: Vec<Tensor> = parts.iter().map(|&p| self.value(p).clone()).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
+        let refs: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
         let value = Tensor::concat_rows(&refs);
-        let row_counts: Vec<usize> = tensors.iter().map(|t| t.dim(0)).collect();
-        self.push(
-            value,
-            parts.to_vec(),
-            Some(Box::new(move |g| {
+        self.record(value, parts.to_vec(), |t, _, needs| {
+            let row_counts: Vec<usize> = parts.iter().map(|&p| t.value(p).dim(0)).collect();
+            let needs = needs.to_vec();
+            Box::new(move |g| {
                 let mut out = Vec::with_capacity(row_counts.len());
                 let mut start = 0;
-                for &rows in &row_counts {
-                    out.push(g.slice_rows(start, start + rows));
+                for (&rows, &need) in row_counts.iter().zip(&needs) {
+                    out.push(need.then(|| g.slice_rows(start, start + rows)));
                     start += rows;
                 }
                 out
-            })),
-        )
+            })
+        })
     }
 
     // -----------------------------------------------------------------
@@ -232,13 +230,11 @@ impl Tape {
 
     /// Sum of all elements (scalar output).
     pub fn sum_all(&mut self, x: VarId) -> VarId {
-        let dims: Vec<usize> = self.value(x).shape().dims().to_vec();
         let value = Tensor::scalar(self.value(x).sum());
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| vec![Tensor::full(&dims, g.item())])),
-        )
+        self.record(value, vec![x], |t, _, _| {
+            let dims: Vec<usize> = t.value(x).shape().dims().to_vec();
+            Box::new(move |g| vec![Some(Tensor::full(&dims, g.item()))])
+        })
     }
 
     /// Mean of all elements (scalar output).
@@ -260,12 +256,10 @@ impl Tape {
     pub fn dot_const(&mut self, x: VarId, w: &Tensor) -> VarId {
         assert_eq!(self.value(x).shape(), w.shape(), "dot_const shape mismatch");
         let value = Tensor::scalar(self.value(x).mul(w).sum());
-        let w = w.clone();
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| vec![w.scale(g.item())])),
-        )
+        self.record(value, vec![x], |_, _, _| {
+            let w = w.clone();
+            Box::new(move |g| vec![Some(w.scale(g.item()))])
+        })
     }
 
     /// Mean over the batch of the squared `l2` norm of each row:
@@ -304,7 +298,7 @@ impl Tape {
     ///
     /// Panics on shape mismatch or non-rank-2 inputs.
     pub fn softmax_cross_entropy(&mut self, z: VarId, targets: &Tensor) -> VarId {
-        let logits = self.value(z).clone();
+        let logits = self.value(z);
         assert_eq!(logits.rank(), 2, "softmax_cross_entropy expects [N, C]");
         assert_eq!(
             logits.shape(),
@@ -317,17 +311,13 @@ impl Tape {
             // The Kahan arm shares the F32 expression: the `.sum()` inside
             // it samples the mode again and runs its compensated chain.
             Accum::F32 | Accum::Kahan => Tensor::scalar(-log_probs.mul(targets).sum() / n),
-            Accum::F64 => Tensor::scalar(softmax_cross_entropy_f64(&logits, targets)),
+            Accum::F64 => Tensor::scalar(softmax_cross_entropy_f64(logits, targets)),
         };
-        let softmax = log_probs.exp();
-        let targets = targets.clone();
-        self.push(
-            value,
-            vec![z],
-            Some(Box::new(move |g| {
-                vec![softmax.sub(&targets).scale(g.item() / n)]
-            })),
-        )
+        self.record(value, vec![z], |_, _, _| {
+            let softmax = log_probs.exp();
+            let targets = targets.clone();
+            Box::new(move |g| vec![Some(softmax.sub(&targets).scale(g.item() / n))])
+        })
     }
 
     /// Mean binary cross-entropy between logits `z` (any shape) and constant
@@ -343,7 +333,7 @@ impl Tape {
     ///
     /// Panics on shape mismatch.
     pub fn bce_with_logits(&mut self, z: VarId, targets: &Tensor) -> VarId {
-        let logits = self.value(z).clone();
+        let logits = self.value(z);
         assert_eq!(
             logits.shape(),
             targets.shape(),
@@ -354,15 +344,11 @@ impl Tape {
             zi.max(0.0) - zi * yi + (1.0 + (-zi.abs()).exp()).ln()
         });
         let value = Tensor::scalar(per_elem.sum() / n);
-        let sig = logits.sigmoid();
-        let targets = targets.clone();
-        self.push(
-            value,
-            vec![z],
-            Some(Box::new(move |g| {
-                vec![sig.sub(&targets).scale(g.item() / n)]
-            })),
-        )
+        self.record(value, vec![z], |t, _, _| {
+            let sig = t.value(z).sigmoid();
+            let targets = targets.clone();
+            Box::new(move |g| vec![Some(sig.sub(&targets).scale(g.item() / n))])
+        })
     }
 
     // -----------------------------------------------------------------
@@ -372,45 +358,44 @@ impl Tape {
     /// 2-D convolution of `x` (`[N, C, H, W]`) with filters `w`
     /// (`[O, C, kh, kw]`).
     pub fn conv2d(&mut self, x: VarId, w: VarId, spec: ConvSpec) -> VarId {
-        // The fused backward regathers patches from the saved input, so the
-        // tape no longer keeps the (much larger) im2col matrix alive.
-        let input = self.value(x).clone();
-        let weight = self.value(w).clone();
-        let value = conv::conv2d(&input, &weight, spec);
-        self.push(
-            value,
-            vec![x, w],
-            Some(Box::new(move |g| {
-                let (gx, gw) = conv::conv2d_backward(g, &input, &weight, spec);
-                vec![gx, gw]
-            })),
-        )
+        let value = conv::conv2d(self.value(x), self.value(w), spec);
+        self.record(value, vec![x, w], |t, _, needs| {
+            let (input, weight) = (t.value(x), t.value(w));
+            let (x_dims, w_dims) = (input.shape().clone(), weight.shape().clone());
+            // ∂x reads the filters; the fused ∂W regathers patches from the
+            // saved input, so the tape never keeps the (much larger) im2col
+            // matrix alive — and keeps no input at all when `w` is constant.
+            let weight = needs[0].then(|| weight.clone());
+            let input = needs[1].then(|| input.clone());
+            Box::new(move |g| {
+                vec![
+                    weight
+                        .as_ref()
+                        .map(|wt| conv::conv2d_input_grad(g, wt, x_dims.dims(), spec)),
+                    input
+                        .as_ref()
+                        .map(|inp| conv::conv2d_weight_grad(g, inp, w_dims.dims(), spec)),
+                ]
+            })
+        })
     }
 
     /// Non-overlapping `k × k` max pooling.
     pub fn maxpool2d(&mut self, x: VarId, k: usize) -> VarId {
-        let input_dims: Vec<usize> = self.value(x).shape().dims().to_vec();
         let (value, indices) = conv::maxpool2d(self.value(x), k);
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| {
-                vec![conv::maxpool2d_backward(g, &indices, &input_dims)]
-            })),
-        )
+        self.record(value, vec![x], |t, _, _| {
+            let input_dims: Vec<usize> = t.value(x).shape().dims().to_vec();
+            Box::new(move |g| vec![Some(conv::maxpool2d_backward(g, &indices, &input_dims))])
+        })
     }
 
     /// Global average pooling `[N, C, H, W] → [N, C]`.
     pub fn global_avg_pool(&mut self, x: VarId) -> VarId {
-        let input_dims: Vec<usize> = self.value(x).shape().dims().to_vec();
         let value = conv::global_avg_pool(self.value(x));
-        self.push(
-            value,
-            vec![x],
-            Some(Box::new(move |g| {
-                vec![conv::global_avg_pool_backward(g, &input_dims)]
-            })),
-        )
+        self.record(value, vec![x], |t, _, _| {
+            let input_dims: Vec<usize> = t.value(x).shape().dims().to_vec();
+            Box::new(move |g| vec![Some(conv::global_avg_pool_backward(g, &input_dims))])
+        })
     }
 
     // -----------------------------------------------------------------
@@ -432,9 +417,13 @@ impl Tape {
         if p == 0.0 {
             // Identity; still record a node for uniform graph shape.
             let value = self.value(x).clone();
-            return self.push(value, vec![x], Some(Box::new(|g| vec![g.clone()])));
+            return self.record(value, vec![x], |_, _, _| {
+                Box::new(|g| vec![Some(g.clone())])
+            });
         }
         let keep = 1.0 - p;
+        // The mask is drawn even for a constant `x`, so the RNG stream does
+        // not depend on which nodes need gradients.
         let mask = Tensor::from_fn(self.value(x).shape().dims(), |_| {
             if rng.bernoulli(keep) {
                 1.0 / keep
@@ -443,7 +432,9 @@ impl Tape {
             }
         });
         let value = self.value(x).mul(&mask);
-        self.push(value, vec![x], Some(Box::new(move |g| vec![g.mul(&mask)])))
+        self.record(value, vec![x], |_, _, _| {
+            Box::new(move |g| vec![Some(g.mul(&mask))])
+        })
     }
 }
 
@@ -804,6 +795,83 @@ mod tests {
             },
             3e-2,
         );
+    }
+
+    /// The gradients at `a` and `b` of `Σ op(a, b)²`, with each side bound
+    /// as a leaf or as a constant.
+    fn binary_grads(
+        a0: &Tensor,
+        b0: &Tensor,
+        a_leaf: bool,
+        b_leaf: bool,
+        op: impl Fn(&mut Tape, VarId, VarId) -> VarId,
+    ) -> (Option<Tensor>, Option<Tensor>) {
+        let bind = |t: &mut Tape, v: &Tensor, leaf: bool| {
+            if leaf {
+                t.leaf(v.clone())
+            } else {
+                t.constant(v.clone())
+            }
+        };
+        let mut tape = Tape::new();
+        let a = bind(&mut tape, a0, a_leaf);
+        let b = bind(&mut tape, b0, b_leaf);
+        let y = op(&mut tape, a, b);
+        let sq = tape.square(y);
+        let loss = tape.sum_all(sq);
+        let mut grads = tape.backward(loss);
+        (grads.take(a), grads.take(b))
+    }
+
+    /// With one operand constant, the other operand's gradient is the one
+    /// the full backward computes, bit for bit, and the constant gets none.
+    fn check_constant_operand(
+        a0: &Tensor,
+        b0: &Tensor,
+        op: impl Fn(&mut Tape, VarId, VarId) -> VarId + Copy,
+    ) {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for mode in [Accum::F32, Accum::F64] {
+            gandef_tensor::accum::with_accum(mode, || {
+                let (ga, gb) = binary_grads(a0, b0, true, true, op);
+                let (ga, gb) = (ga.unwrap(), gb.unwrap());
+                let (only_a, none_b) = binary_grads(a0, b0, true, false, op);
+                assert!(none_b.is_none(), "{mode:?}: constant rhs got a gradient");
+                assert_eq!(bits(&only_a.unwrap()), bits(&ga), "{mode:?}: lhs");
+                let (none_a, only_b) = binary_grads(a0, b0, false, true, op);
+                assert!(none_a.is_none(), "{mode:?}: constant lhs got a gradient");
+                assert_eq!(bits(&only_b.unwrap()), bits(&gb), "{mode:?}: rhs");
+            });
+        }
+    }
+
+    #[test]
+    fn matmul_with_a_constant_operand_matches_full_backward() {
+        let a0 = Tensor::from_fn(&[5, 7], |i| (i as f32 * 0.731).sin());
+        let b0 = Tensor::from_fn(&[7, 3], |i| (i as f32 * 0.419).cos());
+        check_constant_operand(&a0, &b0, |t, a, b| t.matmul(a, b));
+    }
+
+    #[test]
+    fn conv2d_with_a_constant_operand_matches_full_backward() {
+        let x0 = Tensor::from_fn(&[2, 3, 7, 7], |i| (i as f32 * 0.731).sin() * 0.6);
+        let w0 = Tensor::from_fn(&[4, 3, 3, 3], |i| ((i % 7) as f32 - 3.0) / 6.0);
+        for imp in [conv::ConvImpl::Fused, conv::ConvImpl::Im2col] {
+            conv::with_conv_impl(imp, || {
+                check_constant_operand(&x0, &w0, |t, x, w| {
+                    t.conv2d(x, w, ConvSpec { stride: 2, pad: 1 })
+                });
+            });
+        }
+    }
+
+    #[test]
+    fn broadcast_add_sub_mul_with_a_constant_operand_match_full_backward() {
+        let x0 = Tensor::from_fn(&[4, 3], |i| (i as f32 * 0.37).sin());
+        let b0 = Tensor::from_vec(vec![3], vec![0.5, -1.0, 2.0]);
+        check_constant_operand(&x0, &b0, |t, x, b| t.add(x, b));
+        check_constant_operand(&x0, &b0, |t, x, b| t.sub(x, b));
+        check_constant_operand(&x0, &b0, |t, x, b| t.mul(x, b));
     }
 
     #[test]

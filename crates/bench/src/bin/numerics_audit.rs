@@ -87,7 +87,7 @@ fn oracle() {
     // contract the fingerprint diffs enforce across thread counts. The
     // check is free here and turns a lowering divergence into a hard stop
     // rather than a silent fingerprint change.
-    let (oracle, cols) = conv::conv2d_im2col(&img, &filt, spec);
+    let oracle = conv::conv2d_im2col(&img, &filt, spec);
     if gandef_tensor::accum::accum() == Accum::F64 {
         assert_eq!(
             fused.as_slice(),
@@ -102,7 +102,9 @@ fn oracle() {
         fingerprint(&[gx.as_slice(), gw.as_slice()])
     );
     if gandef_tensor::accum::accum() == Accum::F64 {
-        let (ox, ow) = conv::conv2d_backward_im2col(&gout, &cols, &filt, img.shape().dims(), spec);
+        let (ox, ow) = conv::with_conv_impl(conv::ConvImpl::Im2col, || {
+            conv::conv2d_backward(&gout, &img, &filt, spec)
+        });
         assert_eq!(
             (gx.as_slice(), gw.as_slice()),
             (ox.as_slice(), ow.as_slice()),

@@ -13,9 +13,11 @@
 //! * `grad` guards `autodiff::ops` — the white-box attacks (FGSM, BIM,
 //!   PGD) all differentiate through the forward graph, so a forward op
 //!   whose tape node has no backward closure silently zeroes input
-//!   gradients and weakens every attack built on it (`Tape::leaf` in
-//!   `tape.rs` is the one legitimate `None`-pusher, and lives outside
-//!   this rule's scope);
+//!   gradients and weakens every attack built on it. Ops record through
+//!   `Tape::record`, whose backward builder is not optional; the
+//!   legitimate `None`-pushers (`Tape::leaf`, `Tape::constant`, and
+//!   `record` for an op whose parents are all constants) live in
+//!   `tape.rs`, outside this rule's scope;
 //! * `shape` guards `gandef-tensor`'s public surface: a public
 //!   `Tensor`-returning fn that indexes before asserting its shape
 //!   contract panics with a bare out-of-bounds message instead of the

@@ -2,7 +2,8 @@
 //! [`Classifier`] interface consumed by the attack crate.
 
 use crate::layer::Sequential;
-use crate::params::{Mode, Params, Session};
+use crate::params::{Params, Session};
+use gandef_autodiff::{Tape, VarId};
 use gandef_tensor::rng::Prng;
 use gandef_tensor::Tensor;
 
@@ -14,6 +15,10 @@ const INFER_CHUNK: usize = 64;
 /// its input gradients. All of the paper's attack generators (§IV-C) are
 /// written against this trait, mirroring the white-box threat model where
 /// the adversary has "full knowledge about the target NN classifier".
+///
+/// Gradients are taken with respect to the *input* only: an attack never
+/// reads a weight gradient, so [`Net`] records its weights as tape
+/// constants ([`Session::frozen`]) and computes none.
 ///
 /// `Sync` is required so one model can serve concurrent attack chunks on
 /// the worker pool (inference is a tape-free read-only pass; gradient
@@ -35,6 +40,29 @@ pub trait Classifier: Sync {
     /// logit's gradient (DeepFool); a ±1 pair extracts a margin gradient
     /// (CW).
     fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor;
+
+    /// One linearization of the model at `x`: the logits `z = C(x)` and,
+    /// for each constant `[N, classes]` matrix `w` that `weights(&z)`
+    /// returns, the input gradient of `Σ (w ⊙ z)`, in the same order. The
+    /// matrices may depend on the logits: CW picks each row's runner-up
+    /// class from them, and DeepFool asks for one one-hot matrix per class.
+    ///
+    /// The provided body calls [`Classifier::logits`] and then
+    /// [`Classifier::weighted_logit_input_grad`] once per matrix. [`Net`]
+    /// overrides it to run one forward pass for all of them, with the same
+    /// results bit for bit.
+    fn linearize(
+        &self,
+        x: &Tensor,
+        weights: &dyn Fn(&Tensor) -> Vec<Tensor>,
+    ) -> (Tensor, Vec<Tensor>) {
+        let z = self.logits(x);
+        let grads = weights(&z)
+            .iter()
+            .map(|w| self.weighted_logit_input_grad(x, w))
+            .collect();
+        (z, grads)
+    }
 
     /// Predicted class per row.
     fn predict(&self, x: &Tensor) -> Vec<usize> {
@@ -108,6 +136,31 @@ impl Net {
     fn infer_chunk(&self, x: &Tensor) -> Tensor {
         self.model.infer(&self.params, x.clone())
     }
+
+    /// Records an evaluation forward pass of `x` on a [`Session::frozen`]
+    /// tape, returning the session, the input leaf and the logits node.
+    fn frozen_forward(&self, x: &Tensor) -> (Session, VarId, VarId) {
+        let mut sess = Session::frozen(&self.params);
+        let xv = sess.input(x.clone());
+        let z = self.model.forward(&mut sess, xv);
+        (sess, xv, z)
+    }
+}
+
+/// The gradient of scalar node `root` with respect to the input leaf `xv`.
+fn input_grad(tape: &Tape, root: VarId, xv: VarId) -> Tensor {
+    tape.backward(root)
+        .take(xv)
+        // lint:allow(panic) — every root is built from the logits of `xv`,
+        // so the backward sweep always reaches the input leaf.
+        .expect("input must receive a gradient")
+}
+
+/// The gradient of `Σ (weights ⊙ z)` with respect to the input leaf `xv`,
+/// where `zv` holds the logits of `xv`.
+fn weighted_input_grad(tape: &mut Tape, xv: VarId, zv: VarId, weights: &Tensor) -> Tensor {
+    let s = tape.dot_const(zv, weights);
+    input_grad(tape, s, xv)
 }
 
 impl Classifier for Net {
@@ -120,33 +173,41 @@ impl Classifier for Net {
     }
 
     fn ce_input_grad(&self, x: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
-        let xv = sess.input(x.clone());
-        let z = self.model.forward(&mut sess, xv);
+        let (mut sess, xv, z) = self.frozen_forward(x);
         let loss = sess.tape.softmax_cross_entropy(z, targets);
-        let value = sess.tape.value(loss).item();
-        let grads = sess.tape.backward(loss);
-        let gx = grads
-            .get(xv)
-            // lint:allow(panic) — the loss is built from `xv` above, so the
-            // backward sweep always reaches the input leaf.
-            .expect("input must receive a gradient")
-            .clone();
-        (value, gx)
+        (
+            sess.tape.value(loss).item(),
+            input_grad(&sess.tape, loss, xv),
+        )
     }
 
     fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor {
-        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
-        let xv = sess.input(x.clone());
-        let z = self.model.forward(&mut sess, xv);
-        let s = sess.tape.dot_const(z, weights);
-        let grads = sess.tape.backward(s);
-        grads
-            .get(xv)
-            // lint:allow(panic) — the weighted score is built from `xv`
-            // above, so the backward sweep always reaches the input leaf.
-            .expect("input must receive a gradient")
-            .clone()
+        let (mut sess, xv, zv) = self.frozen_forward(x);
+        weighted_input_grad(&mut sess.tape, xv, zv, weights)
+    }
+
+    fn linearize(
+        &self,
+        x: &Tensor,
+        weights: &dyn Fn(&Tensor) -> Vec<Tensor>,
+    ) -> (Tensor, Vec<Tensor>) {
+        let (mut sess, xv, zv) = self.frozen_forward(x);
+        // Within one inference chunk the tape forward is `infer`, bit for
+        // bit. A larger batch is split by `infer`, and under f32 a short
+        // trailing chunk may take a different GEMM path, so its logits
+        // come from `infer` to stay equal to `logits`.
+        let z = if x.dim(0) <= INFER_CHUNK {
+            sess.tape.value(zv).clone()
+        } else {
+            self.infer(x)
+        };
+        // Every root shares the one forward pass; `backward` only reads
+        // the tape, so each sweep equals one on a fresh tape.
+        let grads = weights(&z)
+            .iter()
+            .map(|w| weighted_input_grad(&mut sess.tape, xv, zv, w))
+            .collect();
+        (z, grads)
     }
 }
 
@@ -236,6 +297,60 @@ mod tests {
             1e-3,
         );
         assert!(grad.allclose(&numeric, 2e-2));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn frozen_input_grads_equal_differentiable_weight_tapes_bitwise() {
+        use gandef_tensor::accum::{with_accum, Accum};
+        let net = Net::new(crate::zoo::lenet(1), &mut Prng::new(15));
+        let x = Prng::new(16).uniform_tensor(&[3, 1, 28, 28], -1.0, 1.0);
+        let targets = one_hot(&[4, 0, 9], 10);
+        let weights = [
+            targets.clone(),
+            targets.scale(-1.0).add(&one_hot(&[1, 2, 3], 10)),
+        ];
+        // The same queries on a tape whose weights are differentiable leaves.
+        let leaf_tape = || {
+            let mut sess = Session::eval(&net.params);
+            let xv = sess.input(x.clone());
+            let z = net.model.forward(&mut sess, xv);
+            (sess, xv, z)
+        };
+        for mode in [Accum::F32, Accum::F64] {
+            with_accum(mode, || {
+                let (mut sess, xv, z) = leaf_tape();
+                let loss = sess.tape.softmax_cross_entropy(z, &targets);
+                let want_ce = sess.tape.backward(loss).take(xv).unwrap();
+                let (value, got_ce) = net.ce_input_grad(&x, &targets);
+                assert_eq!(value.to_bits(), sess.tape.value(loss).item().to_bits());
+                assert_eq!(bits(&got_ce), bits(&want_ce), "{mode:?}: ce");
+
+                let (z_lin, grads) = net.linearize(&x, &|_| weights.to_vec());
+                assert_eq!(bits(&z_lin), bits(&net.logits(&x)), "{mode:?}: logits");
+                for (w, got) in weights.iter().zip(&grads) {
+                    let (mut sess, xv, z) = leaf_tape();
+                    let s = sess.tape.dot_const(z, w);
+                    let want = sess.tape.backward(s).take(xv).unwrap();
+                    assert_eq!(bits(got), bits(&want), "{mode:?}: weighted");
+                    assert_eq!(bits(&net.weighted_logit_input_grad(&x, w)), bits(&want));
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn frozen_session_computes_no_weight_gradient() {
+        let net = tiny_net(17);
+        let mut sess = Session::frozen(&net.params);
+        let xv = sess.input(Prng::new(18).uniform_tensor(&[2, 4], -1.0, 1.0));
+        let z = net.model.forward(&mut sess, xv);
+        let loss = sess.tape.sum_all(z);
+        assert!(sess.tape.backward(loss).get(xv).is_some());
+        assert!(sess.backward(loss).iter().all(Option::is_none));
     }
 
     #[test]

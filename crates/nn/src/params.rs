@@ -160,7 +160,8 @@ struct StoreBinding {
 }
 
 /// A single forward/backward pass: a fresh [`Tape`] with every parameter
-/// bound as a leaf, plus the pass's [`Mode`] and RNG (for dropout).
+/// bound as a leaf (or, for [`Session::frozen`], as a constant), plus the
+/// pass's [`Mode`] and RNG (for dropout).
 ///
 /// Layers pull their parameter [`VarId`]s from the session by name; after
 /// [`Session::backward`], per-parameter gradients come back in store order,
@@ -195,11 +196,35 @@ impl Session {
     /// must be unique *across* stores (model namespaces — e.g. `conv1.w`
     /// vs `d1.w` — guarantee this for the paper's architectures).
     pub fn new_multi(stores: &[&Params], mode: Mode, rng: Prng) -> Self {
+        Session::bind(stores, mode, rng, Tape::leaf)
+    }
+
+    /// An evaluation pass for input-gradient queries: every parameter in
+    /// `params` is bound as a [`Tape::constant`], while [`Session::input`]
+    /// still records a differentiable leaf. A backward sweep then computes
+    /// the input gradient exactly as a [`Session::eval`] tape would, bit for
+    /// bit, but skips every weight gradient and keeps no forward copies
+    /// that only weight gradients read. [`Session::backward`] on such a
+    /// session returns `None` for every parameter.
+    pub fn frozen(params: &Params) -> Self {
+        Session::bind(&[params], Mode::Eval, Prng::new(0), Tape::constant)
+    }
+
+    fn bind(
+        stores: &[&Params],
+        mode: Mode,
+        rng: Prng,
+        bind: fn(&mut Tape, Tensor) -> VarId,
+    ) -> Self {
         let mut tape = Tape::new();
         let bindings = stores
             .iter()
             .map(|p| StoreBinding {
-                ids: p.values.iter().map(|v| tape.leaf(v.clone())).collect(),
+                ids: p
+                    .values
+                    .iter()
+                    .map(|v| bind(&mut tape, v.clone()))
+                    .collect(),
                 index: p.index.clone(),
             })
             .collect();

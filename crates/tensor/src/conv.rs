@@ -464,7 +464,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
     );
     match conv_impl() {
         ConvImpl::Fused => conv2d_fused(input, weight, spec),
-        ConvImpl::Im2col => conv2d_im2col(input, weight, spec).0,
+        ConvImpl::Im2col => conv2d_im2col(input, weight, spec),
     }
 }
 
@@ -503,13 +503,12 @@ fn conv2d_fused(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
 }
 
 /// Reference im2col-then-GEMM forward pass (the pre-fusion lowering, and
-/// the equality oracle for the fused path). Returns the output together
-/// with the im2col matrix, which [`conv2d_backward_im2col`] reuses.
+/// the equality oracle for the fused path).
 ///
 /// # Panics
 ///
 /// Panics on rank or channel mismatches.
-pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> (Tensor, Tensor) {
+pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
     assert_eq!(input.rank(), 4, "conv2d input must be [N, C, H, W]");
     assert_eq!(weight.rank(), 4, "conv2d weight must be [O, C, kh, kw]");
     assert_eq!(
@@ -527,13 +526,13 @@ pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> (Tensor
     let w_mat = weight.reshape(&[o, weight.numel() / o]);
     // [N·Ho·Wo, O] = cols × w_matᵀ
     let out_mat = linalg::matmul_nt(&cols, &w_mat);
-    let out = nhwc_rows_to_nchw(&out_mat, n, o, ho, wo);
-    (out, cols)
+    nhwc_rows_to_nchw(&out_mat, n, o, ho, wo)
 }
 
 /// Backward 2-D convolution. Given the upstream gradient
 /// `grad_out [N, O, Ho, Wo]`, the forward `input` and the filter bank,
-/// returns `(grad_input, grad_weight)`.
+/// returns `(grad_input, grad_weight)` — [`conv2d_input_grad`] and
+/// [`conv2d_weight_grad`] of the same operands.
 ///
 /// Dispatches on [`conv_impl`] like [`conv2d`]. The fused path computes
 /// `∂W` as one implicit GEMM contracting over all output pixels (patches
@@ -551,24 +550,86 @@ pub fn conv2d_backward(
     weight: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor) {
+    let grad_w = conv2d_weight_grad(grad_out, input, weight.shape().dims(), spec);
+    let grad_x = conv2d_input_grad(grad_out, weight, input.shape().dims(), spec);
+    (grad_x, grad_w)
+}
+
+/// The input half of [`conv2d_backward`]: `∂x` for an input of shape
+/// `input_dims`. It reads only the filters, so a caller that needs no
+/// weight gradient (an attack's input-gradient query) keeps no copy of
+/// the forward input.
+///
+/// # Panics
+///
+/// Panics on geometry mismatches.
+pub fn conv2d_input_grad(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    input_dims: &[usize],
+    spec: ConvSpec,
+) -> Tensor {
+    let (n, o, g) = backward_geom(grad_out, input_dims, weight.shape().dims(), spec);
+    match conv_impl() {
+        // Sampled once, before any pool fan-out (see `conv2d_fused`).
+        ConvImpl::Fused => data_grad_fused(accum::accum(), grad_out, weight, n, o, g),
+        ConvImpl::Im2col => {
+            let g_mat = nchw_to_nhwc_rows(grad_out); // [N·Ho·Wo, O]
+            let w_mat = weight.reshape(&[o, weight.numel() / o]);
+            // ∂cols = g_mat × w_mat → [N·Ho·Wo, C·kh·kw]
+            let grad_cols = linalg::matmul(&g_mat, &w_mat);
+            col2im(&grad_cols, input_dims, g.kh, g.kw, spec)
+        }
+    }
+}
+
+/// The weight half of [`conv2d_backward`]: `∂W` for filters of shape
+/// `weight_dims`. It reads only the forward input.
+///
+/// # Panics
+///
+/// Panics on geometry mismatches.
+pub fn conv2d_weight_grad(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight_dims: &[usize],
+    spec: ConvSpec,
+) -> Tensor {
+    let (_, o, g) = backward_geom(grad_out, input.shape().dims(), weight_dims, spec);
+    match conv_impl() {
+        ConvImpl::Fused => weight_grad_fused(accum::accum(), grad_out, input, o, g),
+        ConvImpl::Im2col => {
+            let cols = im2col(input, g.kh, g.kw, spec);
+            let g_mat = nchw_to_nhwc_rows(grad_out);
+            // ∂W = g_matᵀ × cols → [O, C·kh·kw]
+            linalg::matmul_tn(&g_mat, &cols).reshape(weight_dims)
+        }
+    }
+}
+
+/// Checks the operand shapes of a backward call and returns the batch
+/// size, the output channel count and the convolution geometry.
+fn backward_geom(
+    grad_out: &Tensor,
+    input_dims: &[usize],
+    weight_dims: &[usize],
+    spec: ConvSpec,
+) -> (usize, usize, Geom) {
     assert_eq!(
-        input.rank(),
+        input_dims.len(),
         4,
         "conv2d_backward input must be [N, C, H, W]"
     );
     assert_eq!(
-        weight.rank(),
+        weight_dims.len(),
         4,
         "conv2d_backward weight must be [O, C, kh, kw]"
     );
-    let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
-    let (o, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
+    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
+    let (o, kh, kw) = (weight_dims[0], weight_dims[2], weight_dims[3]);
     assert_eq!(
-        c,
-        weight.dim(1),
-        "conv2d_backward channel mismatch: input {} vs weight {}",
-        input.shape(),
-        weight.shape()
+        c, weight_dims[1],
+        "conv2d_backward channel mismatch: input {input_dims:?} vs weight {weight_dims:?}"
     );
     let g = Geom::new(c, h, w, kh, kw, spec);
     assert_eq!(
@@ -576,19 +637,7 @@ pub fn conv2d_backward(
         &[n, o, g.ho, g.wo],
         "conv2d_backward gradient shape mismatch"
     );
-    match conv_impl() {
-        ConvImpl::Fused => {
-            // Sampled once, before any pool fan-out (see `conv2d_fused`).
-            let mode = accum::accum();
-            let grad_w = weight_grad_fused(mode, grad_out, input, o, g);
-            let grad_x = data_grad_fused(mode, grad_out, weight, n, o, g);
-            (grad_x, grad_w)
-        }
-        ConvImpl::Im2col => {
-            let cols = im2col(input, kh, kw, spec);
-            conv2d_backward_im2col(grad_out, &cols, weight, input.shape().dims(), spec)
-        }
-    }
+    (n, o, g)
 }
 
 /// Fused weight gradient: `∂W [O, C·kh·kw] = gᵀ × cols`, contracted over
@@ -654,39 +703,6 @@ fn data_grad_fused(
         }
     });
     Tensor::from_vec(vec![n, g.c, g.h, g.w], out)
-}
-
-/// Reference im2col backward pass: given the saved `cols` from
-/// [`conv2d_im2col`], computes `∂W = gᵀ·cols` and scatters
-/// `∂cols = g·W` back through [`col2im`]. Kept as the equality oracle for
-/// the fused backward path.
-///
-/// # Panics
-///
-/// Panics on geometry mismatches.
-pub fn conv2d_backward_im2col(
-    grad_out: &Tensor,
-    cols: &Tensor,
-    weight: &Tensor,
-    input_dims: &[usize],
-    spec: ConvSpec,
-) -> (Tensor, Tensor) {
-    let (n, o, ho, wo) = (
-        grad_out.dim(0),
-        grad_out.dim(1),
-        grad_out.dim(2),
-        grad_out.dim(3),
-    );
-    let (kh, kw) = (weight.dim(2), weight.dim(3));
-    let g_mat = nchw_to_nhwc_rows(grad_out); // [N·Ho·Wo, O]
-    debug_assert_eq!(g_mat.dim(0), n * ho * wo);
-    let w_mat = weight.reshape(&[o, weight.numel() / o]);
-    // ∂W = g_matᵀ × cols  → [O, C·kh·kw]
-    let grad_w = linalg::matmul_tn(&g_mat, cols).reshape(weight.shape().dims());
-    // ∂cols = g_mat × w_mat → [N·Ho·Wo, C·kh·kw]
-    let grad_cols = linalg::matmul(&g_mat, &w_mat);
-    let grad_input = col2im(&grad_cols, input_dims, kh, kw, spec);
-    (grad_input, grad_w)
 }
 
 /// Reinterprets a `[N·Ho·Wo, O]` row matrix as an `[N, O, Ho, Wo]` tensor.
@@ -993,7 +1009,7 @@ mod tests {
             let x = pseudo(&[n, c, h, w], n + h + pad);
             let wt = pseudo(&[o, c, kh, kw], o + kw + stride);
             let fused = with_conv_impl(ConvImpl::Fused, || conv2d(&x, &wt, spec));
-            let (oracle, _) = conv2d_im2col(&x, &wt, spec);
+            let oracle = conv2d_im2col(&x, &wt, spec);
             assert_eq!(fused.shape(), oracle.shape());
             assert!(
                 fused.allclose(&oracle, 1e-5),
@@ -1005,7 +1021,7 @@ mod tests {
             let fused64 = with_accum(Accum::F64, || {
                 with_conv_impl(ConvImpl::Fused, || conv2d(&x, &wt, spec))
             });
-            let oracle64 = with_accum(Accum::F64, || conv2d_im2col(&x, &wt, spec).0);
+            let oracle64 = with_accum(Accum::F64, || conv2d_im2col(&x, &wt, spec));
             assert_eq!(
                 fused64.as_slice(),
                 oracle64.as_slice(),

@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh
 #
-# Steps: format check, release build, full test suite, the gandef-lint
+# Steps: format check, release build, full test suite, a build and test
+# of the end-to-end benchmark package (e2ebench/), the gandef-lint
 # static-analysis gate (zero violations in the workspace under a lint
 # wall-time budget, a self-test proving the lint still detects every rule
 # on the seeded fixtures, and drift checks of the panic-reachability
@@ -43,6 +44,14 @@ cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> e2ebench build + unit tests"
+# The end-to-end benchmark (e2ebench/, its own Cargo workspace) compiles
+# against the public Classifier/Session API of the workspace crates; nothing
+# else builds it, so an API change would otherwise break it unnoticed. Its
+# target dir is the one the benchmark command itself uses.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
+    --manifest-path e2ebench/Cargo.toml
 
 echo "==> gandef-lint (workspace must be clean, within the time budget)"
 # scripts/lint_budget.txt holds the baseline total lint wall time in

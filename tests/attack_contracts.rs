@@ -1,12 +1,21 @@
 //! Cross-crate attack contracts: every generator, against both classifier
 //! architectures, must produce examples inside its `l∞` budget and the
 //! valid pixel range (the paper's `F` projection) — including on RGB
-//! conv inputs where broadcasting bugs would hide.
+//! conv inputs where broadcasting bugs would hide. Every attack must also
+//! give the same output through the `Classifier` trait's provided
+//! `linearize` as through `Net`'s single-forward override, and behave like
+//! a real attack rather than a masked gradient on a trained model.
 
-use zk_gandef_repro::attack::{Attack, AttackBudget, Bim, CarliniWagner, DeepFool, Fgsm, Pgd};
-use zk_gandef_repro::data::{generate, DatasetKind, GenSpec};
+use zk_gandef_repro::attack::{
+    Attack, AttackBudget, Bim, CarliniWagner, DeepFool, Fgsm, Mim, Pgd, TargetedPgd,
+};
+use zk_gandef_repro::data::{batches, generate, DatasetKind, GenSpec};
 use zk_gandef_repro::defense::classifier_for;
+use zk_gandef_repro::nn::optim::{Adam, Optimizer};
+use zk_gandef_repro::nn::{accuracy, one_hot, zoo, Classifier, Mode, Net, Session};
+use zk_gandef_repro::tensor::accum::{with_accum, Accum};
 use zk_gandef_repro::tensor::rng::Prng;
+use zk_gandef_repro::tensor::Tensor;
 
 fn attack_set(b: &AttackBudget) -> Vec<Box<dyn Attack>> {
     vec![
@@ -117,4 +126,179 @@ fn chunked_attack_equals_whole_batch_for_deterministic_attacks() {
             attack.name()
         );
     }
+}
+
+/// Forwards only the four required [`Classifier`] methods, so attacks on it
+/// take the provided `linearize` (logits, then one gradient call per
+/// weight matrix).
+struct RequiredOnly<'a>(&'a Net);
+
+impl Classifier for RequiredOnly<'_> {
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn logits(&self, x: &Tensor) -> Tensor {
+        self.0.logits(x)
+    }
+
+    fn ce_input_grad(&self, x: &Tensor, targets: &Tensor) -> (f32, Tensor) {
+        self.0.ce_input_grad(x, targets)
+    }
+
+    fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor {
+        self.0.weighted_logit_input_grad(x, weights)
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn attacks_on_net_equal_the_provided_linearize_bitwise() {
+    // 70 rows: more than one chunk of `Net`'s tape-free inference, which
+    // the provided `linearize` reads its logits from.
+    let ds = generate(
+        DatasetKind::SynthDigits,
+        &GenSpec {
+            train: 10,
+            test: 70,
+            seed: 8,
+        },
+    );
+    let net = classifier_for(DatasetKind::SynthDigits, &mut Prng::new(0));
+    // The model's own predictions as labels keep every row active in
+    // DeepFool and every CW margin unbroken.
+    let labels = net.predict(&ds.test_x);
+    let b = AttackBudget::for_28x28();
+    let mut attacks = attack_set(&b);
+    attacks.push(Box::new(Mim::new(b.eps, b.bim_step, 3)));
+    attacks.push(Box::new(TargetedPgd::new(b.eps, b.pgd_step, 3)));
+    for mode in [Accum::F32, Accum::F64] {
+        with_accum(mode, || {
+            for attack in &attacks {
+                let direct = attack.perturb(&net, &ds.test_x, &labels, &mut Prng::new(3));
+                let provided =
+                    attack.perturb(&RequiredOnly(&net), &ds.test_x, &labels, &mut Prng::new(3));
+                assert!(
+                    bits(&direct) == bits(&provided),
+                    "{} under {mode:?}: Net and the provided linearize disagree",
+                    attack.name()
+                );
+            }
+        });
+    }
+}
+
+/// An MLP trained on SynthDigits to well above chance, with its 64 test
+/// images and labels.
+fn trained_digits_mlp() -> (Net, Tensor, Vec<usize>) {
+    let ds = generate(
+        DatasetKind::SynthDigits,
+        &GenSpec {
+            train: 600,
+            test: 64,
+            seed: 11,
+        },
+    );
+    let mut rng = Prng::new(0);
+    let mut net = Net::new(zoo::mlp(28 * 28, 64, 10), &mut rng);
+    let mut opt = Adam::new(0.003);
+    for _ in 0..12 {
+        for (xb, yb) in batches(&ds.train_x, &ds.train_y, 32, &mut rng) {
+            let mut sess = Session::new(&net.params, Mode::Train, rng.fork(1));
+            let x = sess.input(xb);
+            let z = net.model.forward(&mut sess, x);
+            let loss = sess.tape.softmax_cross_entropy(z, &one_hot(&yb, 10));
+            let grads = sess.backward(loss);
+            opt.step(&mut net.params, &grads);
+        }
+    }
+    assert!(
+        net.accuracy_on(&ds.test_x, &ds.test_y) > 0.8,
+        "fixture net failed to train"
+    );
+    (net, ds.test_x, ds.test_y)
+}
+
+/// Slack for the monotonicity checks: two of the 64 test images. Each
+/// check is one-sided, so a stronger attack never trips it.
+const SLACK: f32 = 2.0 / 64.0;
+
+fn adv_accuracy(attack: &dyn Attack, net: &Net, x: &Tensor, y: &[usize]) -> f32 {
+    let adv = attack.perturb(net, x, y, &mut Prng::new(21));
+    accuracy(&net.predict(&adv), y)
+}
+
+/// PGD with the step rule of the training variant: the steps span 2.5 ε.
+fn pgd(eps: f32, iters: usize) -> Pgd {
+    Pgd::new(eps, 2.5 * eps / iters as f32, iters)
+}
+
+/// Asserts that accuracy never rises by more than [`SLACK`] as the attack
+/// parameter grows along `params`.
+fn assert_non_increasing(what: &str, params: &[f32], accs: &[f32]) {
+    for (i, pair) in accs.windows(2).enumerate() {
+        assert!(
+            pair[1] <= pair[0] + SLACK,
+            "{what}: accuracy rose from {} at {} to {} at {} ({accs:?})",
+            pair[0],
+            params[i],
+            pair[1],
+            params[i + 1]
+        );
+    }
+}
+
+#[test]
+fn accuracy_does_not_rise_with_eps() {
+    let (net, x, y) = trained_digits_mlp();
+    let epsilons = [0.02, 0.05, 0.1, 0.2, 0.4];
+    let scan = |attack: &dyn Fn(f32) -> Box<dyn Attack>| -> Vec<f32> {
+        epsilons
+            .iter()
+            .map(|&e| adv_accuracy(attack(e).as_ref(), &net, &x, &y))
+            .collect()
+    };
+    let fgsm = scan(&|e| Box::new(Fgsm::new(e)));
+    assert_non_increasing("FGSM over ε", &epsilons, &fgsm);
+    let pgd = scan(&|e| Box::new(pgd(e, 10)));
+    assert_non_increasing("PGD over ε", &epsilons, &pgd);
+}
+
+#[test]
+fn accuracy_does_not_rise_with_pgd_iterations() {
+    let (net, x, y) = trained_digits_mlp();
+    let iters = [1, 3, 10, 30];
+    let accs: Vec<f32> = iters
+        .iter()
+        .map(|&k| adv_accuracy(&pgd(0.08, k), &net, &x, &y))
+        .collect();
+    let params: Vec<f32> = iters.iter().map(|&k| k as f32).collect();
+    assert_non_increasing("PGD over iterations", &params, &accs);
+}
+
+#[test]
+fn pgd_is_at_least_as_strong_as_fgsm_at_equal_eps() {
+    let (net, x, y) = trained_digits_mlp();
+    for eps in [0.05, 0.1, 0.2] {
+        let fgsm = adv_accuracy(&Fgsm::new(eps), &net, &x, &y);
+        let pgd = adv_accuracy(&pgd(eps, 10), &net, &x, &y);
+        assert!(
+            pgd <= fgsm + SLACK,
+            "ε={eps}: PGD accuracy {pgd} above FGSM accuracy {fgsm}"
+        );
+    }
+}
+
+#[test]
+fn eps_covering_the_pixel_range_drives_pgd_to_chance() {
+    let (net, x, y) = trained_digits_mlp();
+    // Pixels live in [−1, 1]: ε = 2 lets PGD reach any image.
+    let acc = adv_accuracy(&pgd(2.0, 20), &net, &x, &y);
+    assert!(
+        acc <= 0.1 + SLACK,
+        "PGD with an unbounded ball left accuracy at {acc}"
+    );
 }
